@@ -1,9 +1,10 @@
 //! Join hot-path microbench: the row-at-a-time reference join
-//! (`PF_JOIN_VECTOR=off`) vs the vectorized pipeline (radix-partitioned
-//! build, page-batched probe, semi-join filter pushdown), over the four
-//! shapes the executor actually runs — build-dominated, probe-dominated,
-//! filtered probe (bit-vector built and pushed into the probe scan), and
-//! the monitored probe (semi-join sketch observation on every page).
+//! ([`RowHashJoin`]) vs the production vectorized [`HashJoin`] (radix-
+//! partitioned build, page-batched probe, semi-join filter pushdown),
+//! over the four shapes the executor actually runs — build-dominated,
+//! probe-dominated, filtered probe (bit-vector built and pushed into the
+//! probe scan), and the monitored probe (semi-join sketch observation on
+//! every page).
 //!
 //! Reports rows/sec for both paths and writes
 //! `BENCH_join_hot_path.json` at the workspace root for the CI bench
@@ -18,24 +19,12 @@ use criterion::{black_box, Bencher, Criterion};
 use pf_common::{Column, DataType, Datum, Row, Schema, TableId};
 use pf_exec::join::{BitVectorConfig, HashJoin};
 use pf_exec::monitor::{semi_join_slot, ScanExprMonitor, ScanMonitorSet};
-use pf_exec::{run_count, Conjunction, ExecContext, SeqScan};
+use pf_exec::reference::RowHashJoin;
+use pf_exec::{run_count, Conjunction, ExecContext, Operator, SeqScan};
 use pf_storage::TableStorage;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Pins the `PF_JOIN_VECTOR` toggle for the duration of `f`. The bench
-/// binary is single-threaded, so no lock is needed.
-fn with_vector<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    if on {
-        std::env::remove_var("PF_JOIN_VECTOR");
-    } else {
-        std::env::set_var("PF_JOIN_VECTOR", "off");
-    }
-    let out = f();
-    std::env::remove_var("PF_JOIN_VECTOR");
-    out
-}
 
 /// A join-key table: `k = (i * 7919) % key_mod` scrambles the key order
 /// (every page mixes the whole key domain) and a short string payload
@@ -60,30 +49,49 @@ fn scan(t: &Arc<TableStorage>, id: u32) -> SeqScan {
     SeqScan::full(Arc::clone(t), TableId(id), Conjunction::always_true(), None)
 }
 
-/// Plain hash join, counting driver. The vector toggle decides which
-/// build/probe pipeline runs inside.
-fn join_count(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
-    let mut hj = HashJoin::new(
-        Box::new(scan(build, 0)),
-        Box::new(scan(probe, 1)),
-        0,
-        0,
-        None,
-    );
+/// A hash join on key column 0: the production [`HashJoin`] when
+/// `vector` is set, else the [`RowHashJoin`] reference.
+fn hash_join(
+    vector: bool,
+    build: SeqScan,
+    probe: SeqScan,
+    bitvector: Option<BitVectorConfig>,
+) -> Box<dyn Operator> {
+    if vector {
+        Box::new(HashJoin::new(
+            Box::new(build),
+            Box::new(probe),
+            0,
+            0,
+            bitvector,
+        ))
+    } else {
+        Box::new(RowHashJoin::new(
+            Box::new(build),
+            Box::new(probe),
+            0,
+            0,
+            bitvector,
+        ))
+    }
+}
+
+/// Plain hash join, counting driver.
+fn join_count(vector: bool, build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
+    let mut hj = hash_join(vector, scan(build, 0), scan(probe, 1), None);
     let mut ctx = ExecContext::new(1 << 14);
-    run_count(&mut hj, &mut ctx).unwrap()
+    run_count(hj.as_mut(), &mut ctx).unwrap()
 }
 
 /// Hash join with a bit-vector filter and pushdown requested: the
-/// vectorized path installs the completed filter as a probe-scan
-/// pre-filter; the row path evaluates membership in the join.
-fn join_count_filtered(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
+/// production join installs the completed filter as a probe-scan
+/// pre-filter; the reference probes every row.
+fn join_count_filtered(vector: bool, build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
     let slot = semi_join_slot(0);
-    let mut hj = HashJoin::new(
-        Box::new(scan(build, 0)),
-        Box::new(scan(probe, 1)),
-        0,
-        0,
+    let mut hj = hash_join(
+        vector,
+        scan(build, 0),
+        scan(probe, 1),
         Some(BitVectorConfig {
             slot,
             numbits: 1 << 16,
@@ -92,12 +100,12 @@ fn join_count_filtered(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> 
         }),
     );
     let mut ctx = ExecContext::new(1 << 14);
-    run_count(&mut hj, &mut ctx).unwrap()
+    run_count(hj.as_mut(), &mut ctx).unwrap()
 }
 
 /// Hash join whose probe scan carries a semi-join monitor: the sketch
 /// observes every page (DPSample fraction 1.0), the shape Fig 8 runs.
-fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
+fn join_count_monitored(vector: bool, build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
     let slot = semi_join_slot(0);
     let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
         vec![ScanExprMonitor::semi_join("jp", Rc::clone(&slot), None)],
@@ -110,11 +118,10 @@ fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) ->
         Conjunction::always_true(),
         Some(monitors),
     );
-    let mut hj = HashJoin::new(
-        Box::new(scan(build, 0)),
-        Box::new(probe_scan),
-        0,
-        0,
+    let mut hj = hash_join(
+        vector,
+        scan(build, 0),
+        probe_scan,
         Some(BitVectorConfig {
             slot,
             numbits: 1 << 16,
@@ -123,7 +130,7 @@ fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) ->
         }),
     );
     let mut ctx = ExecContext::new(1 << 14);
-    run_count(&mut hj, &mut ctx).unwrap()
+    run_count(hj.as_mut(), &mut ctx).unwrap()
 }
 
 struct Measurement {
@@ -142,11 +149,9 @@ fn measure(
 ) {
     let full = format!("{name}/{}", if vector { "vector" } else { "row" });
     let mut rows_per_sec = 0.0;
-    with_vector(vector, || {
-        c.bench_function(&full, |b: &mut Bencher| {
-            b.iter(|| black_box(routine()));
-            rows_per_sec = rows_per_iter as f64 / b.ns_per_iter() * 1e9;
-        });
+    c.bench_function(&full, |b: &mut Bencher| {
+        b.iter(|| black_box(routine()));
+        rows_per_sec = rows_per_iter as f64 / b.ns_per_iter() * 1e9;
     });
     out.push(Measurement {
         name: full,
@@ -169,13 +174,13 @@ fn main() {
 
     // Path parity before timing anything.
     for (label, f) in [
-        ("plain", join_count as fn(&_, &_) -> u64),
+        ("plain", join_count as fn(bool, &_, &_) -> u64),
         ("filtered", join_count_filtered),
         ("monitored", join_count_monitored),
     ] {
-        let off = with_vector(false, || f(&build, &probe));
-        let on = with_vector(true, || f(&build, &probe));
-        assert_eq!(off, on, "{label}: vector on/off count parity");
+        let row = f(false, &build, &probe);
+        let vector = f(true, &build, &probe);
+        assert_eq!(row, vector, "{label}: vector/row count parity");
     }
 
     let mut c = Criterion::default();
@@ -186,10 +191,10 @@ fn main() {
     for vector in [false, true] {
         // Build-dominated: empty probe side isolates the build phase.
         measure(&mut c, &mut out, "build", build_rows, vector, || {
-            join_count(&build, &empty)
+            join_count(vector, &build, &empty)
         });
         measure(&mut c, &mut out, "probe", probe_rows, vector, || {
-            join_count(&build, &probe)
+            join_count(vector, &build, &probe)
         });
         measure(
             &mut c,
@@ -197,7 +202,7 @@ fn main() {
             "filtered_probe",
             probe_rows,
             vector,
-            || join_count_filtered(&build, &probe),
+            || join_count_filtered(vector, &build, &probe),
         );
         measure(
             &mut c,
@@ -205,7 +210,7 @@ fn main() {
             "monitored_probe",
             probe_rows,
             vector,
-            || join_count_monitored(&build, &probe),
+            || join_count_monitored(vector, &build, &probe),
         );
     }
 

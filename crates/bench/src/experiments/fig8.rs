@@ -104,18 +104,20 @@ pub fn run_fig8(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<JoinP
     let os: Vec<f64> = points.iter().map(|p| p.overhead).collect();
     println!("max bit-vector overhead: {:.2}%", max(&os) * 100.0);
     // Chosen hash-join strategy. Partition count and filter pushdown
-    // are pure functions of the plan (never of runtime knobs), so this
-    // line is byte-identical across `PF_JOIN_VECTOR` settings and job
-    // counts.
+    // are pure functions of the plan, so this line is byte-identical
+    // across job counts. The planner owns the pushdown rule.
+    let planner = db.planner()?;
     let mut hash_n = 0usize;
     let mut push_n = 0usize;
     let mut parts = std::collections::BTreeSet::new();
-    for out in &outcomes {
+    for (q, out) in queries.iter().zip(&outcomes) {
         if let pagefeed::PlanChoice::Join(jp) = &out.before.choice {
             if jp.method == pf_optimizer::JoinMethod::Hash {
                 hash_n += 1;
                 parts.insert(pf_exec::join_partitions(jp.outer_plan.est_rows));
-                if jp.est_rows < 0.5 * rows as f64 {
+                let (outer, inner, outer_pred, outer_col, inner_col) = q.as_join()?;
+                let spec = planner.resolve_join(outer, inner, outer_pred, outer_col, inner_col)?;
+                if planner.join_pushdown(jp, &spec)? {
                     push_n += 1;
                 }
             }

@@ -32,9 +32,9 @@ pub fn env_knob<T: FromStr>(name: &str) -> Option<T> {
 /// Reads environment knob `name` as an on/off switch.
 ///
 /// `off`, `0`, and `false` (case-insensitive, trimmed) read as `false`;
-/// any other set value reads as `true`; unset reads as `default`. This
-/// matches the historical behaviour of `PF_MORSEL`, `PF_PLAN_CACHE`,
-/// and `PF_SCAN_KERNELS`, which default on and are disabled explicitly.
+/// any other set value reads as `true`; unset reads as `default`.
+/// `PF_MORSEL`, which defaults on and is disabled explicitly, reads this
+/// way.
 pub fn env_switch(name: &str, default: bool) -> bool {
     match std::env::var(name) {
         Ok(v) => !matches!(

@@ -7,9 +7,10 @@ use crate::planner::{LoweredPlan, MonitorConfig, OptimizedQuery, PlanChoice, Pla
 use crate::query::Query;
 use pf_common::{Datum, Error, IndexId, PageId, Result, Rid, Row, Schema, TableId};
 use pf_exec::index::{Fetch, IndexSeek, RidList, SeekRange};
+use pf_exec::join::count_probe_page;
 use pf_exec::monitor::{FetchTemplate, MonitorTemplate, ScanMonitorPartial, SemiJoinRecipe};
 use pf_exec::scan::SeqScan;
-use pf_exec::{drain, run_count, CancelToken, Conjunction, ExecContext, RidSource};
+use pf_exec::{run_count, CancelToken, Conjunction, ExecContext, RidSource};
 use pf_feedback::{BitVectorFilter, FeedbackReport, LinearCounter};
 use pf_optimizer::{
     AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, JoinPlan, JoinSpec, Optimizer,
@@ -178,7 +179,7 @@ pub struct Database {
     /// errors propagate to the caller, the pre-breaker behaviour).
     breaker: Option<CircuitBreaker>,
     /// Memoized optimizer decisions, invalidated on anything that can
-    /// change a plan (`PF_PLAN_CACHE=off` disables).
+    /// change a plan.
     plan_cache: PlanCache,
     /// How stamped hints are aged as DML drifts their tables.
     pub staleness: StalenessPolicy,
@@ -204,7 +205,7 @@ impl Database {
             dpc_cache: None,
             feedback_store: None,
             breaker: None,
-            plan_cache: PlanCache::from_env(),
+            plan_cache: PlanCache::new(true),
             staleness: StalenessPolicy::default(),
             disk: DiskModel::default(),
             pool_pages: 65_536,
@@ -580,8 +581,8 @@ impl Database {
     }
 
     /// Replaces the plan cache with one that is explicitly on or off —
-    /// test hook and CLI escape hatch (the `PF_PLAN_CACHE` knob decides
-    /// the default at construction).
+    /// a test hook: an uncached database is the reference that cache
+    /// hits must reproduce. Databases start with the cache on.
     pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
         self.plan_cache = PlanCache::new(enabled);
     }
@@ -636,7 +637,7 @@ impl Database {
         ctx.cold_start();
         ctx.fault_attempt = attempt;
         // Counting driver: operators that can count page-at-a-time
-        // (vectorized joins, scans) skip row materialization entirely.
+        // (hash joins, scans) skip row materialization entirely.
         // Materialization was never charged, so I/O statistics are
         // byte-identical to the old drain-then-count.
         let count = run_count(op.as_mut(), ctx)?;
@@ -959,14 +960,14 @@ impl Database {
             );
             ctx.cold_start();
             ctx.fault_attempt = attempt;
-            match drain(&mut op, ctx) {
-                Ok(rows) => {
+            match run_count(&mut op, ctx) {
+                Ok(count) => {
                     drop(op); // release the operator's clone of the monitor handle
                     let partial = match handle {
                         Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),
                         None => None,
                     };
-                    return Ok((rows.len() as u64, ctx.stats(), partial, attempt));
+                    return Ok((count, ctx.stats(), partial, attempt));
                 }
                 Err(e) if e.is_transient() && attempt < MAX_TRANSIENT_RETRIES => attempt += 1,
                 Err(e) => return Err(e),
@@ -1050,7 +1051,6 @@ impl Database {
         first_random: bool,
         ctx: &mut ExecContext,
     ) -> Result<BuildMorselOutput> {
-        use pf_exec::Operator;
         let meta = self.catalog.table(scan.plan.table)?;
         let handle = template.map(|t| Rc::new(RefCell::new(t.instantiate(&scan.pred))));
         let mut op = SeqScan::with_page_range(
@@ -1065,41 +1065,25 @@ impl Database {
         ctx.fault_attempt = 0;
         let mut keys: Vec<Datum> = Vec::new();
         let mut bv = filter.map(|(numbits, seed)| BitVectorFilter::new(numbits, seed));
-        if pf_exec::join::vector_enabled() {
-            // Page-batched: gather the page's keys off borrowed views,
-            // then bulk-insert the batch into the filter fragment. The
-            // per-row charges (one build hash, one per filter insert)
-            // are identical to the row loop.
-            let keys = &mut keys;
-            let bv = &mut bv;
-            while op.next_page_rows(ctx, &mut |rows, ctx| {
-                let start = keys.len();
-                rows.for_each(|_slot, view| {
-                    if charge_build_hash {
-                        ctx.pool.charge_hashes(1);
-                    }
-                    keys.push(view.get(key_col).to_datum());
-                    Ok(())
-                })?;
-                if let Some(f) = bv.as_mut() {
-                    let n = f.insert_batch(keys[start..].iter().map(pf_common::DatumRef::from));
-                    ctx.pool.charge_hashes(n);
-                }
-                Ok(())
-            })? {}
-        } else {
-            while let Some(row) = op.next(ctx)? {
+        // Page-batched: gather the page's keys off borrowed views, then
+        // bulk-insert the batch into the filter fragment. The per-row
+        // charges (one build hash, one per filter insert) are those of
+        // the serial build.
+        while op.next_page_rows(ctx, &mut |rows, ctx| {
+            let start = keys.len();
+            rows.for_each(|_slot, view| {
                 if charge_build_hash {
                     ctx.pool.charge_hashes(1);
                 }
-                let key = row.get(key_col).clone();
-                if let Some(f) = bv.as_mut() {
-                    f.insert(&key);
-                    ctx.pool.charge_hashes(1);
-                }
-                keys.push(key);
+                keys.push(view.get(key_col).to_datum());
+                Ok(())
+            })?;
+            if let Some(f) = bv.as_mut() {
+                let n = f.insert_batch(keys[start..].iter().map(pf_common::DatumRef::from));
+                ctx.pool.charge_hashes(n);
             }
-        }
+            Ok(())
+        })? {}
         drop(op);
         let partial = match handle {
             Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),
@@ -1114,8 +1098,8 @@ impl Database {
     /// the merged build filter rebuild the worker-local semi-join
     /// monitor set the serial probe scan would carry; `pushdown` makes
     /// the morsel scan carry the merged filter as a page-pass pre-filter
-    /// (the scan then charges the per-row probe hash, so the loop here
-    /// must not).
+    /// (the scan then charges the per-row probe hash). Pages are counted
+    /// by [`count_probe_page`], as in the serial `HashJoin`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_probe_morsel(
         &self,
@@ -1127,7 +1111,6 @@ impl Database {
         page_range: (u32, u32),
         ctx: &mut ExecContext,
     ) -> Result<(u64, IoStats, Option<ScanMonitorPartial>)> {
-        use pf_exec::Operator;
         let meta = self.catalog.table(inner)?;
         let handle = recipe.map(|(r, f)| Rc::new(RefCell::new(r.instantiate(f.clone()))));
         let mut op = SeqScan::with_page_range(
@@ -1140,28 +1123,12 @@ impl Database {
         );
         ctx.cold_start();
         ctx.fault_attempt = 0;
+        if let Some(f) = pushdown {
+            op.set_semi_join_prefilter(f.clone(), probe_col);
+        }
         let mut count = 0u64;
-        if pf_exec::join::vector_enabled() {
-            let mut prefiltered = false;
-            if let Some(f) = pushdown {
-                op.set_semi_join_prefilter(f.clone(), probe_col);
-                prefiltered = true;
-            }
-            let count = &mut count;
-            while op.next_page_rows(ctx, &mut |rows, ctx| {
-                rows.for_each(|_slot, view| {
-                    if !prefiltered {
-                        ctx.pool.charge_hashes(1);
-                    }
-                    *count += table.matches(view.get(probe_col));
-                    Ok(())
-                })
-            })? {}
-        } else {
-            while let Some(row) = op.next(ctx)? {
-                ctx.pool.charge_hashes(1);
-                count += table.matches(pf_common::DatumRef::from(row.get(probe_col)));
-            }
+        while let Some(n) = count_probe_page(&mut op, table, probe_col, pushdown.is_some(), ctx)? {
+            count += n;
         }
         drop(op);
         let partial = match handle {

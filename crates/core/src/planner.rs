@@ -802,20 +802,11 @@ impl<'a> Planner<'a> {
                 }
             );
             if plan.method == pf_optimizer::JoinMethod::Hash {
-                // The chosen join strategy: radix partition count,
-                // whether the vectorized pipeline runs (the only place
-                // the `PF_JOIN_VECTOR` state is ever printed — plan
-                // descriptions and figure output stay knob-independent),
-                // and whether the build filter pushes into the probe
-                // scan.
+                // The chosen join strategy: radix partition count and
+                // whether the build filter pushes into the probe scan.
                 s.push_str(&format!(
-                    "│  strategy: parts={} vector={} pushdown={}\n",
+                    "│  strategy: parts={} pushdown={}\n",
                     partitions,
-                    if pf_exec::join::vector_enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    },
                     if pushdown { "yes" } else { "no" },
                 ));
             }

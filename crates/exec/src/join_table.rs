@@ -1,11 +1,12 @@
 //! Radix-partitioned open-addressing build table for vectorized hash
 //! joins.
 //!
-//! Replaces the per-row `HashMap<Datum, Vec<Row>>` build: keys are
-//! hashed once with the seeded [`hash_datum_ref`], the hash routes the
-//! entry to a partition (high bits) and to a slot inside the
-//! partition's open-addressing directory (low bits), and build rows are
-//! chained off their entry in insertion order. Equality between a
+//! The page-batched counterpart of the per-row `HashMap<Datum, Vec<Row>>`
+//! build in [`crate::reference::RowHashJoin`]: keys are hashed once
+//! with the seeded [`hash_datum_ref`], the hash routes the entry to a
+//! partition (high bits) and to a slot inside the partition's
+//! open-addressing directory (low bits), and build rows are chained off
+//! their entry in insertion order. Equality between a
 //! stored key and a probe key is plain `Datum` equality (`NaN != NaN`,
 //! `-0.0` and `0.0` hash apart), so match sets — including the
 //! degenerate float cases — are exactly those of the `HashMap` path.
@@ -22,15 +23,8 @@ const NIL: u32 = u32::MAX;
 
 /// Partition count for an expected number of build rows: one partition
 /// per ~4k keys, clamped to `[1, 256]` (always a power of two). The
-/// `PF_JOIN_PARTITIONS` knob overrides the estimate-derived count; the
-/// layout is invisible in results, so the knob is purely a tuning and
-/// triage lever.
+/// layout is invisible in results and charges.
 pub fn join_partitions(est_build_rows: f64) -> usize {
-    if let Ok(v) = std::env::var("PF_JOIN_PARTITIONS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.clamp(1, 256).next_power_of_two();
-        }
-    }
     let target = (est_build_rows.max(0.0) / 4096.0).ceil() as usize;
     target.clamp(1, 256).next_power_of_two()
 }
@@ -278,9 +272,11 @@ mod tests {
         }
         assert_eq!(t.distinct_keys(), 37);
         assert_eq!(t.total_rows(), 1_000);
+        // 1000 = 37·27 + 1 rows over 37 keys: key 0 gets 28, the rest 27.
+        let k0 = Datum::Int(0);
+        assert_eq!(t.matches(DatumRef::from(&k0)), 28);
         let k = Datum::Int(5);
-        // 1000 rows over 37 keys: keys 0..=1 get 28, the rest 27.
-        assert_eq!(t.matches(DatumRef::from(&k)), 28);
+        assert_eq!(t.matches(DatumRef::from(&k)), 27);
         let missing = Datum::Int(99);
         assert_eq!(t.matches(DatumRef::from(&missing)), 0);
     }

@@ -19,6 +19,8 @@
 //! * [`scan`] — SE-side sequential & clustered-range scans,
 //! * [`index`] — SE-side index seek, RID intersection, and Fetch,
 //! * [`join`] — RE-side Hash, Merge, and Index-Nested-Loops joins,
+//! * [`reference`] — row-at-a-time reference operators, the baselines
+//!   of the identity tests and benches (never planned),
 //! * [`sort`] / [`agg`] — RE-side sort and `COUNT` aggregation.
 //!
 //! Monitors are **caller-owned** (`Rc<RefCell<...>>` handles): the
@@ -40,6 +42,7 @@ pub mod join;
 pub mod join_table;
 pub mod monitor;
 pub mod op;
+pub mod reference;
 pub mod scan;
 pub mod sort;
 

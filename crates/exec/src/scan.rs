@@ -16,14 +16,6 @@ use pf_storage::{AccessPattern, Page, RowLayout, RowView, TableStorage};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Whether page-at-a-time predicate kernels are enabled. The
-/// `PF_SCAN_KERNELS` escape hatch (`off` or `0`) forces the row-at-a-time
-/// reference path — used by the identity tests and for triage; results
-/// are bit-identical either way.
-fn kernels_enabled() -> bool {
-    pf_common::env_switch("PF_SCAN_KERNELS", true)
-}
-
 /// A sequential scan over a contiguous page range of one table, with the
 /// query predicate pushed into the storage engine.
 pub struct SeqScan {
@@ -59,8 +51,9 @@ pub struct SeqScan {
     /// Reusable slot-directory offsets of the current page.
     slot_offs: Vec<u32>,
     /// Compiled page-at-a-time kernel; `None` when any predicate column
-    /// is outside the fixed-width prefix or kernels are disabled, in
-    /// which case every page takes the row-at-a-time path.
+    /// is outside the fixed-width prefix (or the scan was built
+    /// [`SeqScan::without_kernel`]), in which case every page takes the
+    /// row-at-a-time path.
     kernel: Option<PageKernel>,
     /// When set, monitors observe each row as it is *delivered* to the
     /// parent (not when its page is loaded). Required for partial
@@ -97,11 +90,7 @@ impl SeqScan {
         page_range: (u32, u32),
         first_random: bool,
     ) -> Self {
-        let kernel = if kernels_enabled() {
-            predicate.compile_page_kernel(storage.layout())
-        } else {
-            None
-        };
+        let kernel = predicate.compile_page_kernel(storage.layout());
         SeqScan {
             next_page: page_range.0,
             storage,
@@ -178,6 +167,15 @@ impl SeqScan {
             );
         }
         self.deferred_monitoring = true;
+        self
+    }
+
+    /// Drops the compiled predicate kernel, so every page takes the
+    /// row-at-a-time path. Results, charges and sketch contents are
+    /// bit-identical either way; the identity tests use this scan as
+    /// the reference for the kernel path.
+    pub fn without_kernel(mut self) -> Self {
+        self.kernel = None;
         self
     }
 
@@ -327,8 +325,8 @@ impl SeqScan {
         // per-row validation walk) for rows that are only observed,
         // never delivered. Monitors then receive one batched per-page
         // observation instead of N per-row calls. Falls back to the
-        // row-at-a-time reference path when the predicate has
-        // non-fixed-prefix columns, kernels are disabled, or a slot
+        // row-at-a-time path when the predicate has non-fixed-prefix
+        // columns, the scan was built without a kernel, or a slot
         // directory fails the kernel's bounds pre-check. Both paths are
         // bit-identical in counts, I/O charges, and sketch contents.
         let natoms = self.predicate.len();

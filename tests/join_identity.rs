@@ -1,55 +1,43 @@
-//! Full-query and operator-level identity for the vectorized join
-//! pipeline.
+//! Full-query and operator-level identity for the hash join.
 //!
-//! `PF_JOIN_VECTOR=off` forces hash joins back onto the row-at-a-time
-//! reference path (per-row `HashMap` build, per-row probe, no filter
-//! pushdown). These tests run the same join workloads with the pipeline
-//! on and off, at 1, 2, and 8 workers, with and without an injected
-//! fault plan, and require *byte-identical* outcomes: counts, I/O
-//! statistics (including hash and monitor-op charges), feedback reports
-//! (sketch contents, degraded flags), plan descriptions, simulated
-//! times, and fault retries. Property tests extend the identity to
-//! random schemas and keys — including NaN float keys, whose derived
-//! `PartialEq` semantics (each NaN build key is unreachable) both paths
-//! must reproduce — and check the `BitVectorFilter` bulk-insert and the
-//! radix table against per-row reference models. This is the executable
-//! form of the batching contract in DESIGN.md §5k.
-
-use std::sync::Mutex;
+//! Production [`HashJoin`] builds a radix-partitioned table a page at a
+//! time, probes with borrowed row views and may push its build filter
+//! into the probe scan. [`RowHashJoin`] is the row-at-a-time reference
+//! (per-row `HashMap` build, per-row probe, no pushdown). The operator-
+//! level tests run both on every join shape of the full-query workload —
+//! the hash self-join with full page overlap, filtered builds with
+//! pushdown on and off, exact and sampled semi-join monitors, the
+//! counting and the row-delivering driver, with and without an injected
+//! fault plan — and require *byte-identical* outcomes: counts, rows,
+//! every I/O statistic (including hash and monitor-op charges), the
+//! filter's bits and the harvested semi-join report. Property tests
+//! extend the identity to random keys — including NaN float keys, whose
+//! derived `PartialEq` semantics (each NaN build key is unreachable)
+//! both operators must reproduce — and check the `BitVectorFilter` bulk
+//! insert and the radix table against per-row reference models. The
+//! full-query tests pin jobs-invariance of the same workload at 1, 2 and
+//! 8 workers. This is the executable form of the batching contract in
+//! DESIGN.md §5k.
 
 use pagefeed::{Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query};
 use pf_common::{Column, DataType, Datum, DatumRef, Row, Schema, TableId};
-use pf_exec::join::HashJoin;
-use pf_exec::{drain, run_count, CompareOp, Conjunction, ExecContext, RadixTable, SeqScan};
-use pf_feedback::BitVectorFilter;
-use pf_storage::TableStorage;
+use pf_exec::join::{BitVectorConfig, HashJoin};
+use pf_exec::monitor::{semi_join_slot, ScanExprMonitor, ScanMonitorSet};
+use pf_exec::reference::RowHashJoin;
+use pf_exec::{
+    drain, run_count, CompareOp, Conjunction, ExecContext, Operator, RadixTable, SeqScan,
+};
+use pf_feedback::{BitVectorFilter, FeedbackReport};
+use pf_storage::{IoStats, TableStorage};
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
-/// Serializes mutations of the process-global `PF_JOIN_VECTOR` toggle
-/// (tests in this binary may run concurrently).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the vector toggle pinned to `on`, restoring the
-/// default (vectorized) afterwards.
-fn with_vector<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap();
-    if on {
-        std::env::remove_var("PF_JOIN_VECTOR");
-    } else {
-        std::env::set_var("PF_JOIN_VECTOR", "off");
-    }
-    let out = f();
-    std::env::remove_var("PF_JOIN_VECTOR");
-    out
-}
-
-/// One table joined against itself: `corr` is clustered (equal to the
-/// row id), `scat` a scrambled permutation, both indexed so semi-join
-/// monitoring (and with it filter pushdown) engages.
-fn build_db(fault_rate: f64) -> Database {
-    let mut db = Database::new();
+/// Rows of the join table `t`: `corr` is clustered (equal to the row
+/// id), `scat` a scrambled permutation.
+fn table_rows() -> (Schema, Vec<Row>) {
     let schema = Schema::new(vec![
         Column::new("id", DataType::Int),
         Column::new("corr", DataType::Int),
@@ -67,6 +55,14 @@ fn build_db(fault_rate: f64) -> Database {
             ])
         })
         .collect::<Vec<Row>>();
+    (schema, rows)
+}
+
+/// `t` joined against itself, both join columns indexed so semi-join
+/// monitoring (and with it filter pushdown) engages.
+fn build_db(fault_rate: f64) -> Database {
+    let mut db = Database::new();
+    let (schema, rows) = table_rows();
     db.create_table("t", schema, rows, Some("id")).unwrap();
     db.create_index("ix_corr", "t", "corr").unwrap();
     db.create_index("ix_scat", "t", "scat").unwrap();
@@ -121,13 +117,10 @@ fn run_workload(
     queries: &[Query],
     cfg: &MonitorConfig,
     jobs: usize,
-    vector: bool,
 ) -> Vec<pagefeed::QueryOutcome> {
-    with_vector(vector, || {
-        ParallelRunner::new(jobs)
-            .run_queries(db, queries, cfg)
-            .unwrap()
-    })
+    ParallelRunner::new(jobs)
+        .run_queries(db, queries, cfg)
+        .unwrap()
 }
 
 fn assert_outcomes_identical(
@@ -157,47 +150,203 @@ fn assert_outcomes_identical(
     }
 }
 
-/// Vectorized ≡ row-at-a-time at every worker count, exact and sampled
-/// monitoring, on a fault-free database.
+/// Every worker count reproduces the production jobs=1 run, exact and
+/// sampled monitoring, on a fault-free database.
 #[test]
 fn join_identity_fault_free() {
     let db = build_db(0.0);
     let queries = workload();
     for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
-        let baseline = run_workload(&db, &queries, &cfg, 1, false);
+        let baseline = run_workload(&db, &queries, &cfg, 1);
         assert!(
             baseline.iter().any(|o| !o.report.measurements.is_empty()),
             "workload must produce feedback"
         );
         for jobs in [1usize, 2, 8] {
-            for vector in [true, false] {
-                let out = run_workload(&db, &queries, &cfg, jobs, vector);
-                let what = format!(
-                    "fault-free, sampling {}, jobs {jobs}, vector {vector}",
-                    cfg.sampling_fraction
-                );
-                assert_outcomes_identical(&baseline, &out, &what);
-            }
+            let out = run_workload(&db, &queries, &cfg, jobs);
+            let what = format!(
+                "fault-free, sampling {}, jobs {jobs}",
+                cfg.sampling_fraction
+            );
+            assert_outcomes_identical(&baseline, &out, &what);
         }
     }
 }
 
 /// The same identity under an injected fault plan: checksum faults,
-/// retries, skipped pages, and degraded sketches reproduce exactly on
-/// the batched path (the vectorized probe refuses pages that fail
-/// verification just as the row path does).
+/// retries, skipped pages, and degraded sketches reproduce exactly at
+/// every worker count.
 #[test]
 fn join_identity_under_faults() {
     let db = build_db(0.01);
     let queries = workload();
     let cfg = MonitorConfig::default();
-    let baseline = run_workload(&db, &queries, &cfg, 1, false);
+    let baseline = run_workload(&db, &queries, &cfg, 1);
     for jobs in [1usize, 2, 8] {
-        for vector in [true, false] {
-            let out = run_workload(&db, &queries, &cfg, jobs, vector);
-            let what = format!("faulted, jobs {jobs}, vector {vector}");
-            assert_outcomes_identical(&baseline, &out, &what);
+        let out = run_workload(&db, &queries, &cfg, jobs);
+        let what = format!("faulted, jobs {jobs}");
+        assert_outcomes_identical(&baseline, &out, &what);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Operator-level identity on the workload's join shapes.
+// ---------------------------------------------------------------------
+
+/// The storage of `t`, optionally with a fault plan attached.
+fn join_storage(fault_rate: f64) -> Arc<TableStorage> {
+    let (schema, rows) = table_rows();
+    let mut storage = TableStorage::load_default(schema, &rows, Some(0)).unwrap();
+    if fault_rate > 0.0 {
+        storage.attach_fault_plan(TableId(0), Some(FaultPlan::new(42, fault_rate).unwrap()));
+    }
+    Arc::new(storage)
+}
+
+/// Which driver pulls the join.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    Count,
+    Rows,
+}
+
+/// Everything observable about one operator-level join run.
+#[derive(Debug, PartialEq)]
+struct JoinRun {
+    count: u64,
+    /// Delivered rows (row driver only).
+    rows: Option<Vec<Row>>,
+    stats: IoStats,
+    elapsed_ms: f64,
+    /// The attempt that succeeded (transient stalls retry cold).
+    attempt: u32,
+    /// Debug rendering of the build filter left in the semi-join slot
+    /// (bits, insertion count, degraded state).
+    filter: Option<String>,
+    report: FeedbackReport,
+}
+
+/// Runs `query`'s join directly on `storage` as a self-join (build and
+/// probe scan the same pages). `monitor` is the probe scan's semi-join
+/// sampling fraction (`None`: no filter, no monitor); `pushdown` is the
+/// filter's pushdown flag. Transient stalls retry from a cold context,
+/// as `Database::run` does.
+fn run_join_op(
+    storage: &Arc<TableStorage>,
+    query: &Query,
+    monitor: Option<f64>,
+    pushdown: bool,
+    driver: Driver,
+    reference: bool,
+) -> JoinRun {
+    let (_, _, preds, outer_col, inner_col) = query.as_join().unwrap();
+    let schema = storage.schema();
+    let pred = Query::resolve_predicates(preds, schema).unwrap();
+    let build_key = schema.index_of(outer_col).unwrap();
+    let probe_key = schema.index_of(inner_col).unwrap();
+    let mut ctx = ExecContext::new(1 << 16);
+    for attempt in 0..8 {
+        ctx.cold_start();
+        ctx.fault_attempt = attempt;
+        let slot = semi_join_slot(probe_key);
+        let monitors = monitor.map(|fraction| {
+            Rc::new(RefCell::new(ScanMonitorSet::new(
+                vec![ScanExprMonitor::semi_join(
+                    "t.k=t.k",
+                    Rc::clone(&slot),
+                    None,
+                )],
+                fraction,
+                0xB17,
+            )))
+        });
+        let bitvector = monitor.map(|_| BitVectorConfig {
+            slot: Rc::clone(&slot),
+            numbits: 1 << 15,
+            seed: 0xF117,
+            pushdown,
+        });
+        let build = Box::new(SeqScan::full(
+            Arc::clone(storage),
+            TableId(0),
+            pred.clone(),
+            None,
+        ));
+        let probe = Box::new(SeqScan::full(
+            Arc::clone(storage),
+            TableId(0),
+            Conjunction::always_true(),
+            monitors.clone(),
+        ));
+        let mut op: Box<dyn Operator> = if reference {
+            Box::new(RowHashJoin::new(
+                build, probe, build_key, probe_key, bitvector,
+            ))
+        } else {
+            Box::new(HashJoin::new(build, probe, build_key, probe_key, bitvector))
+        };
+        let result = match driver {
+            Driver::Count => run_count(op.as_mut(), &mut ctx).map(|n| (n, None)),
+            Driver::Rows => drain(op.as_mut(), &mut ctx).map(|r| (r.len() as u64, Some(r))),
+        };
+        match result {
+            Ok((count, rows)) => {
+                drop(op);
+                let mut report = FeedbackReport::new();
+                if let Some(m) = &monitors {
+                    m.borrow_mut().harvest("t", &mut report);
+                }
+                let filter = slot.borrow().filter.as_ref().map(|f| format!("{f:?}"));
+                return JoinRun {
+                    count,
+                    rows,
+                    stats: ctx.stats(),
+                    elapsed_ms: ctx.elapsed_ms(),
+                    attempt,
+                    filter,
+                    report,
+                };
+            }
+            Err(e) if e.is_transient() => continue,
+            Err(e) => panic!("join failed: {e}"),
         }
+    }
+    panic!("transient faults outlasted the retry budget");
+}
+
+/// Production ≡ reference on every workload shape × monitor/pushdown
+/// variant × driver, at fault rates 0 and 0.01.
+#[test]
+fn join_operator_identity() {
+    let variants: [(Option<f64>, bool); 5] = [
+        (None, false),
+        (Some(1.0), false),
+        (Some(1.0), true),
+        (Some(0.5), false),
+        (Some(0.5), true),
+    ];
+    for fault_rate in [0.0, 0.01] {
+        let storage = join_storage(fault_rate);
+        let mut fired = false;
+        for (i, query) in workload().iter().enumerate() {
+            for (monitor, pushdown) in variants {
+                for driver in [Driver::Count, Driver::Rows] {
+                    let want = run_join_op(&storage, query, monitor, pushdown, driver, true);
+                    let got = run_join_op(&storage, query, monitor, pushdown, driver, false);
+                    assert_eq!(
+                        want, got,
+                        "query {i}, monitor {monitor:?}, pushdown {pushdown}, \
+                         {driver:?} driver, fault rate {fault_rate}"
+                    );
+                    if monitor.is_some() {
+                        assert!(want.filter.is_some(), "query {i}: filter installed");
+                        assert!(!want.report.measurements.is_empty(), "query {i}: feedback");
+                    }
+                    fired |= want.attempt > 0 || want.stats.pages_skipped > 0;
+                }
+            }
+        }
+        assert_eq!(fired, fault_rate > 0.0, "fault plan fires only when set");
     }
 }
 
@@ -219,57 +368,51 @@ fn key_table(keys: &[Datum]) -> Arc<TableStorage> {
     Arc::new(TableStorage::bulk_load(schema, &rows, None, 512, 1.0).expect("bulk load"))
 }
 
-/// Runs `build ⋈ probe` on key column 0 via the counting driver and
-/// returns `(count, hash_ops)`.
+/// `build ⋈ probe` on key column 0: the production [`HashJoin`], or the
+/// [`RowHashJoin`] reference when `reference` is set.
+fn key_join(
+    build: &Arc<TableStorage>,
+    probe: &Arc<TableStorage>,
+    reference: bool,
+) -> Box<dyn Operator> {
+    let scan = |t: &Arc<TableStorage>, id: u32| {
+        Box::new(SeqScan::full(
+            Arc::clone(t),
+            TableId(id),
+            Conjunction::always_true(),
+            None,
+        ))
+    };
+    let (b, p) = (scan(build, 0), scan(probe, 1));
+    if reference {
+        Box::new(RowHashJoin::new(b, p, 0, 0, None))
+    } else {
+        Box::new(HashJoin::new(b, p, 0, 0, None))
+    }
+}
+
+/// Runs the join via the counting driver: `(count, I/O statistics)`.
 fn hash_join_count(
     build: &Arc<TableStorage>,
     probe: &Arc<TableStorage>,
-    vector: bool,
-) -> (u64, u64) {
-    with_vector(vector, || {
-        let b = SeqScan::full(
-            Arc::clone(build),
-            TableId(0),
-            Conjunction::always_true(),
-            None,
-        );
-        let p = SeqScan::full(
-            Arc::clone(probe),
-            TableId(1),
-            Conjunction::always_true(),
-            None,
-        );
-        let mut hj = HashJoin::new(Box::new(b), Box::new(p), 0, 0, None);
-        let mut ctx = ExecContext::new(8_192);
-        let n = run_count(&mut hj, &mut ctx).expect("join drains");
-        (n, ctx.stats().hash_ops)
-    })
+    reference: bool,
+) -> (u64, IoStats) {
+    let mut hj = key_join(build, probe, reference);
+    let mut ctx = ExecContext::new(8_192);
+    let n = run_count(hj.as_mut(), &mut ctx).expect("join drains");
+    (n, ctx.stats())
 }
 
-/// Same join via the row-delivering driver: `(rows, hash_ops)`.
+/// Same join via the row-delivering driver: `(rows, I/O statistics)`.
 fn hash_join_rows(
     build: &Arc<TableStorage>,
     probe: &Arc<TableStorage>,
-    vector: bool,
-) -> (Vec<Row>, u64) {
-    with_vector(vector, || {
-        let b = SeqScan::full(
-            Arc::clone(build),
-            TableId(0),
-            Conjunction::always_true(),
-            None,
-        );
-        let p = SeqScan::full(
-            Arc::clone(probe),
-            TableId(1),
-            Conjunction::always_true(),
-            None,
-        );
-        let mut hj = HashJoin::new(Box::new(b), Box::new(p), 0, 0, None);
-        let mut ctx = ExecContext::new(8_192);
-        let rows = drain(&mut hj, &mut ctx).expect("join drains");
-        (rows, ctx.stats().hash_ops)
-    })
+    reference: bool,
+) -> (Vec<Row>, IoStats) {
+    let mut hj = key_join(build, probe, reference);
+    let mut ctx = ExecContext::new(8_192);
+    let rows = drain(hj.as_mut(), &mut ctx).expect("join drains");
+    (rows, ctx.stats())
 }
 
 /// Quantized floats (forcing genuine key collisions), signed zeros
@@ -290,7 +433,7 @@ fn float_keys(raw: &[f64], nan_every: usize) -> Vec<Datum> {
 }
 
 /// Brute-force reference: pairs equal under `Datum` equality. With
-/// normalized zeros this is exactly what both hash paths deliver.
+/// normalized zeros this is exactly what both hash joins deliver.
 fn nested_loop_count(build: &[Datum], probe: &[Datum]) -> u64 {
     probe
         .iter()
@@ -299,8 +442,8 @@ fn nested_loop_count(build: &[Datum], probe: &[Datum]) -> u64 {
 }
 
 proptest! {
-    /// Vectorized ≡ row-at-a-time ≡ brute force for random int keys,
-    /// in count *and* row mode, including I/O charges.
+    /// Production ≡ reference ≡ brute force for random int keys, in
+    /// count *and* row mode, including every I/O charge.
     #[test]
     fn vector_join_identity_int_keys(
         build in prop::collection::vec(-20i64..20, 0..120),
@@ -309,21 +452,21 @@ proptest! {
         let bk: Vec<Datum> = build.iter().copied().map(Datum::Int).collect();
         let pk: Vec<Datum> = probe.iter().copied().map(Datum::Int).collect();
         let (bt, pt) = (key_table(&bk), key_table(&pk));
-        let (n_off, h_off) = hash_join_count(&bt, &pt, false);
-        let (n_on, h_on) = hash_join_count(&bt, &pt, true);
-        prop_assert_eq!(n_off, n_on);
-        prop_assert_eq!(h_off, h_on);
-        prop_assert_eq!(n_on, nested_loop_count(&bk, &pk));
-        let (r_off, rh_off) = hash_join_rows(&bt, &pt, false);
-        let (r_on, rh_on) = hash_join_rows(&bt, &pt, true);
-        prop_assert_eq!(&r_off, &r_on);
-        prop_assert_eq!(rh_off, rh_on);
-        prop_assert_eq!(r_on.len() as u64, n_on);
+        let (n_ref, s_ref) = hash_join_count(&bt, &pt, true);
+        let (n, s) = hash_join_count(&bt, &pt, false);
+        prop_assert_eq!(n_ref, n);
+        prop_assert_eq!(s_ref, s);
+        prop_assert_eq!(n, nested_loop_count(&bk, &pk));
+        let (r_ref, rs_ref) = hash_join_rows(&bt, &pt, true);
+        let (r, rs) = hash_join_rows(&bt, &pt, false);
+        prop_assert_eq!(&r_ref, &r);
+        prop_assert_eq!(rs_ref, rs);
+        prop_assert_eq!(r.len() as u64, n);
     }
 
     /// The same identity over float keys with injected NaNs: each NaN
     /// build key is its own unreachable entry and NaN probes never
-    /// match, on both pipelines.
+    /// match, in both operators.
     #[test]
     fn vector_join_identity_nan_float_keys(
         build in prop::collection::vec(-4.0f64..4.0, 1..80),
@@ -333,27 +476,27 @@ proptest! {
         let bk = float_keys(&build, nan_every);
         let pk = float_keys(&probe, nan_every);
         let (bt, pt) = (key_table(&bk), key_table(&pk));
-        let (n_off, h_off) = hash_join_count(&bt, &pt, false);
-        let (n_on, h_on) = hash_join_count(&bt, &pt, true);
-        prop_assert_eq!(n_off, n_on);
-        prop_assert_eq!(h_off, h_on);
-        prop_assert_eq!(n_on, nested_loop_count(&bk, &pk));
+        let (n_ref, s_ref) = hash_join_count(&bt, &pt, true);
+        let (n, s) = hash_join_count(&bt, &pt, false);
+        prop_assert_eq!(n_ref, n);
+        prop_assert_eq!(s_ref, s);
+        prop_assert_eq!(n, nested_loop_count(&bk, &pk));
     }
 
     /// Hash self-join with full page overlap: the same storage feeds
     /// build and probe, so probe pages are pool hits — identically
-    /// charged on both pipelines.
+    /// charged by both operators.
     #[test]
     fn vector_self_join_page_overlap(
         keys in prop::collection::vec(0i64..30, 1..200),
     ) {
         let ks: Vec<Datum> = keys.iter().copied().map(Datum::Int).collect();
         let t = key_table(&ks);
-        let (n_off, h_off) = hash_join_count(&t, &t, false);
-        let (n_on, h_on) = hash_join_count(&t, &t, true);
-        prop_assert_eq!(n_off, n_on);
-        prop_assert_eq!(h_off, h_on);
-        prop_assert_eq!(n_on, nested_loop_count(&ks, &ks));
+        let (n_ref, s_ref) = hash_join_count(&t, &t, true);
+        let (n, s) = hash_join_count(&t, &t, false);
+        prop_assert_eq!(n_ref, n);
+        prop_assert_eq!(s_ref, s);
+        prop_assert_eq!(n, nested_loop_count(&ks, &ks));
     }
 
     /// The radix table replicates `HashMap<Datum, count>` multiplicity
